@@ -9,15 +9,21 @@ use spire_scada::{ScadaDirectory, ScadaMaster, ScadaOp};
 use spire_spines::{OverlayId, Topology};
 
 fn bench_crypto(c: &mut Criterion) {
+    // 64 B is a link ack or small frame, where per-call overhead dominates;
+    // 16 KiB is bulk state-transfer data, where the block kernel does.
     let mut group = c.benchmark_group("crypto");
-    let data = vec![0xabu8; 1024];
-    group.throughput(Throughput::Bytes(1024));
-    group.bench_function("sha256_1k", |b| {
-        b.iter(|| spire_crypto::sha2::Sha256::digest(std::hint::black_box(&data)))
-    });
-    group.bench_function("hmac_sha256_1k", |b| {
-        b.iter(|| spire_crypto::hmac::hmac_sha256(b"key", std::hint::black_box(&data)))
-    });
+    for (name, len) in [("64", 64usize), ("1k", 1024), ("16k", 16 * 1024)] {
+        let data = vec![0xabu8; len];
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(format!("sha256_{name}"), |b| {
+            b.iter(|| spire_crypto::sha2::Sha256::digest(std::hint::black_box(&data)))
+        });
+        if len <= 1024 {
+            group.bench_function(format!("hmac_sha256_{name}"), |b| {
+                b.iter(|| spire_crypto::hmac::hmac_sha256(b"key", std::hint::black_box(&data)))
+            });
+        }
+    }
     group.finish();
 
     let material = KeyMaterial::new([1u8; 32]);
@@ -96,24 +102,6 @@ fn bench_batch_auth(c: &mut Criterion) {
     });
     group.bench_function("verify_with_proof_16", |b| {
         b.iter(|| attestation.verify(&store, node, std::hint::black_box(&digests[7]), false))
-    });
-    group.finish();
-}
-
-fn bench_rsa(c: &mut Criterion) {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use spire_crypto::rsa::RsaPrivateKey;
-    // 1024-bit keys approximate what the original system deployed.
-    let key = RsaPrivateKey::generate(1024, &mut StdRng::seed_from_u64(1));
-    let public = key.public_key();
-    let msg = b"PO-REQUEST r2 seq 17";
-    let sig = key.sign(msg);
-    let mut group = c.benchmark_group("rsa1024");
-    group.sample_size(20);
-    group.bench_function("sign", |b| b.iter(|| key.sign(std::hint::black_box(msg))));
-    group.bench_function("verify", |b| {
-        b.iter(|| public.verify(std::hint::black_box(msg), &sig))
     });
     group.finish();
 }
@@ -244,7 +232,6 @@ criterion_group!(
     benches,
     bench_crypto,
     bench_batch_auth,
-    bench_rsa,
     bench_erasure,
     bench_prime_codec,
     bench_scada_master,
