@@ -19,21 +19,46 @@
 //! [`DaemonConfig::batch_window`]) — constrained flooding otherwise
 //! amplifies every application message into one authenticated frame and
 //! one ack per overlay edge.
+//!
+//! Per hop, the daemon does as little as the wire allows:
+//!
+//! * **Encode once.** A forwarded message is encoded once per forwarding
+//!   decision. Each neighbor's copy, with its own frame id, is written
+//!   straight into that neighbor's staged batch, which is already laid out
+//!   as an encoded [`OverlayMsg::Batch`]; a flush puts any hop acks first,
+//!   appends the link HMAC in place, and sends a lone frame unbatched. The
+//!   retransmission table shares the one encoding among all copies.
+//! * **Windowed dedup.** Flooded messages are recognised per claimed
+//!   `(source, port)` and retransmitted frames per authenticated neighbor
+//!   link, each in a `SeqWindow` that is exact for as long as a copy can
+//!   still be retransmitted (the retransmission horizon, derived from
+//!   [`DaemonConfig::retransmit_timeout`], [`DaemonConfig::max_retries`] and
+//!   the 2 s backoff cap) and counts everything older as seen. Memory
+//!   follows the traffic of one horizon, not the length of the run.
 
-use crate::msg::{lsa_signing_bytes, DataMsg, Dissemination, OverlayMsg};
+use crate::msg::{
+    encode_data_frame, lsa_signing_bytes, set_frame_id, DataMsg, Dissemination, LinkBatch,
+    OverlayMsg,
+};
 use crate::topology::{OverlayId, Topology};
+use crate::window::{Limits, SeqWindow, Sight};
 use bytes::Bytes;
 use spire_crypto::ed25519::Signature;
 use spire_crypto::hmac::{hmac_sha256, verify_hmac_sha256};
 use spire_crypto::{KeyStore, NodeId, SigningKey};
 use spire_sim::{Context, Process, ProcessId, Span, Time, TraceKind};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{btree_map, BTreeMap};
 use std::sync::Arc;
 
 const TIMER_HELLO: u64 = 1;
 const TIMER_LSA: u64 = 2;
 const TIMER_RETX: u64 = 3;
 const TIMER_FLUSH: u64 = 4;
+
+/// Length of the link HMAC that ends every daemon-to-daemon frame.
+const TAG_LEN: usize = 32;
+/// Retransmission timeouts double per retry up to this cap.
+const MAX_RTO: Span = Span(2_000_000);
 
 /// Tuning knobs for a daemon.
 #[derive(Clone, Copy, Debug)]
@@ -70,6 +95,37 @@ pub struct DaemonConfig {
     /// Flush a neighbor's stage early once this many frames are queued,
     /// bounding batch size and staging memory under load.
     pub batch_max_frames: usize,
+}
+
+impl DaemonConfig {
+    /// How long after its first transmission a reliable frame can still be
+    /// sent: every timeout of the backoff schedule up to the give-up, each
+    /// plus the retransmission scan interval that may delay it.
+    fn retransmission_horizon(&self) -> Span {
+        let attempts = self.max_retries as u64 + 1;
+        let mut horizon = Span::ZERO;
+        let mut rto = self.retransmit_timeout;
+        for sent in 0..attempts {
+            if sent > 0 && rto.0 >= MAX_RTO.0 {
+                // The rest of the schedule is flat at the cap.
+                return horizon + (MAX_RTO + self.retransmit_interval).times(attempts - sent);
+            }
+            horizon = horizon + rto + self.retransmit_interval;
+            rto = Span(rto.0.saturating_mul(2).min(MAX_RTO.0));
+        }
+        horizon
+    }
+
+    /// Dedup windows remember numbers for the retransmission horizon and
+    /// refuse a number more than one per microsecond of the horizon ahead
+    /// of their floor.
+    fn dedup_limits(&self) -> Limits {
+        let horizon = self.retransmission_horizon();
+        Limits {
+            horizon,
+            span: horizon.0.max(1),
+        }
+    }
 }
 
 impl Default for DaemonConfig {
@@ -115,6 +171,15 @@ struct NeighborState {
     weight: u32,
     last_heard: Time,
     alive: bool,
+    /// Ids of the reliable frames this neighbor has delivered, keyed on the
+    /// link its HMAC authenticated: a frame id's sender bits are only what
+    /// the sender claims.
+    frames_seen: SeqWindow,
+    /// Frames awaiting the next batch flush to this neighbor.
+    batch: LinkBatch,
+    /// Reliable frames from this neighbor awaiting a (cumulative) hop ack
+    /// on the next flush.
+    acks: Vec<u64>,
 }
 
 struct LsaEntry {
@@ -125,12 +190,15 @@ struct LsaEntry {
 }
 
 struct PendingFrame {
-    to_pid: ProcessId,
-    to_overlay: OverlayId,
-    msg: DataMsg,
-    /// Encoded wire body, *without* the link HMAC: the first transmission
-    /// rides a batch (one HMAC per batch), so retransmissions — the rare
-    /// path — re-seal individually from this.
+    to: OverlayId,
+    /// The message's dissemination mode and destination, for re-routing.
+    mode: Dissemination,
+    dst: OverlayId,
+    /// The encoded `Data` frame with frame id 0 and no link HMAC, shared by
+    /// every copy of one forward. The first transmission rides a batch (one
+    /// HMAC per batch), so retransmissions — the rare path — set the id and
+    /// re-seal individually from this, and a re-route decodes the message
+    /// from it.
     body: Bytes,
     retries: u32,
     next_at: Time,
@@ -158,24 +226,20 @@ pub struct Daemon {
     lsa_db: BTreeMap<OverlayId, LsaEntry>,
     my_lsa_seq: u64,
     routes: Option<Topology>,
-    flood_seen: HashSet<(u16, u16, u64)>,
-    flood_seen_order: VecDeque<(u16, u16, u64)>,
-    frame_seen: HashSet<u64>,
-    frame_seen_order: VecDeque<u64>,
+    /// Flooded messages seen, per claimed `(source, port)`, over `seq`.
+    flood_seen: BTreeMap<(u16, u16), SeqWindow>,
+    /// Horizon and span of every dedup window.
+    dedup: Limits,
     pending: BTreeMap<u64, PendingFrame>,
     next_frame: u64,
     send_seq: BTreeMap<u16, u64>,
     buckets: BTreeMap<OverlayId, TokenBucket>,
     hello_seq: u64,
-    /// Per-neighbor staged frames awaiting the next batch flush.
-    stage: BTreeMap<OverlayId, Vec<Bytes>>,
-    /// Per-neighbor staged hop acks, flushed as one cumulative ack.
-    staged_acks: BTreeMap<OverlayId, Vec<u64>>,
+    /// Whether some neighbor has hop acks staged.
+    acks_staged: bool,
     /// Whether a TIMER_FLUSH is already pending.
     flush_scheduled: bool,
 }
-
-const SEEN_CAP: usize = 100_000;
 
 impl Daemon {
     /// Creates a daemon.
@@ -205,6 +269,9 @@ impl Daemon {
                     weight,
                     last_heard: Time::ZERO,
                     alive: true,
+                    frames_seen: SeqWindow::default(),
+                    batch: LinkBatch::default(),
+                    acks: Vec::new(),
                 },
             );
         }
@@ -221,17 +288,14 @@ impl Daemon {
             lsa_db: BTreeMap::new(),
             my_lsa_seq: 0,
             routes: None,
-            flood_seen: HashSet::new(),
-            flood_seen_order: VecDeque::new(),
-            frame_seen: HashSet::new(),
-            frame_seen_order: VecDeque::new(),
+            flood_seen: BTreeMap::new(),
+            dedup: cfg.dedup_limits(),
             pending: BTreeMap::new(),
             next_frame: 0,
             send_seq: BTreeMap::new(),
             buckets: BTreeMap::new(),
             hello_seq: 0,
-            stage: BTreeMap::new(),
-            staged_acks: BTreeMap::new(),
+            acks_staged: false,
             flush_scheduled: false,
         }
     }
@@ -241,38 +305,18 @@ impl Daemon {
     }
 
     /// Seals an encoded body with the neighbor's link HMAC and sends it.
-    fn seal_to(&mut self, ctx: &mut Context<'_>, neighbor: OverlayId, body: &[u8]) {
-        let Some(state) = self.neighbors.get(&neighbor) else {
-            return;
-        };
-        let tag = hmac_sha256(&state.link_key, body);
-        let mut framed = Vec::with_capacity(body.len() + 32);
-        framed.extend_from_slice(body);
-        framed.extend_from_slice(&tag);
-        ctx.send(state.pid, Bytes::from(framed));
+    fn seal_to(&self, ctx: &mut Context<'_>, neighbor: OverlayId, body: &[u8]) {
+        if let Some(link) = self.neighbors.get(&neighbor) {
+            seal(ctx, link, body);
+        }
     }
 
-    fn frame_to(&mut self, ctx: &mut Context<'_>, neighbor: OverlayId, msg: &OverlayMsg) {
-        let body = msg.encode();
-        self.seal_to(ctx, neighbor, &body);
+    fn frame_to(&self, ctx: &mut Context<'_>, neighbor: OverlayId, msg: &OverlayMsg) {
+        self.seal_to(ctx, neighbor, &msg.encode());
     }
 
     fn batching(&self) -> bool {
         self.cfg.batch_window.0 > 0
-    }
-
-    /// Queues an encoded frame for the neighbor's next batch flush.
-    fn stage_frame(&mut self, ctx: &mut Context<'_>, neighbor: OverlayId, body: Bytes) {
-        let queued = {
-            let stage = self.stage.entry(neighbor).or_default();
-            stage.push(body);
-            stage.len()
-        };
-        if queued >= self.cfg.batch_max_frames {
-            self.flush_neighbor(ctx, neighbor);
-        } else {
-            self.schedule_flush(ctx);
-        }
     }
 
     fn schedule_flush(&mut self, ctx: &mut Context<'_>) {
@@ -282,105 +326,109 @@ impl Daemon {
         }
     }
 
-    /// Flushes one neighbor's staged acks + frames as a single sealed batch.
-    /// Acks go first so the sender's retransmission table drains promptly.
-    fn flush_neighbor(&mut self, ctx: &mut Context<'_>, neighbor: OverlayId) {
-        let acks = self.staged_acks.remove(&neighbor).unwrap_or_default();
-        let mut frames = self.stage.remove(&neighbor).unwrap_or_default();
-        if !acks.is_empty() {
-            let ack = if acks.len() == 1 {
-                OverlayMsg::HopAck { frame_id: acks[0] }
-            } else {
-                OverlayMsg::HopAckMulti { frame_ids: acks }
-            };
-            frames.insert(0, ack.encode());
+    /// Flushes every neighbor with staged frames or acks, in id order.
+    fn flush_links(&mut self, ctx: &mut Context<'_>) {
+        for link in self.neighbors.values_mut() {
+            flush_link(ctx, link);
         }
-        match frames.len() {
-            0 => {}
-            1 => self.seal_to(ctx, neighbor, &frames[0]),
-            n => {
-                ctx.count("spines.link_batches", 1);
-                ctx.count("spines.link_batched_frames", n as u64);
-                let body = OverlayMsg::Batch { frames }.encode();
-                self.seal_to(ctx, neighbor, &body);
-            }
-        }
+        self.acks_staged = false;
     }
 
-    fn flush_stages(&mut self, ctx: &mut Context<'_>) {
-        if self.stage.is_empty() && self.staged_acks.is_empty() {
+    /// Flushes the neighbors with staged acks (and whatever frames they
+    /// have staged), in id order.
+    fn flush_acks(&mut self, ctx: &mut Context<'_>) {
+        if !std::mem::take(&mut self.acks_staged) {
             return;
         }
-        let mut targets: Vec<OverlayId> = self.stage.keys().copied().collect();
-        for n in self.staged_acks.keys() {
-            if !targets.contains(n) {
-                targets.push(*n);
+        for link in self.neighbors.values_mut() {
+            if !link.acks.is_empty() {
+                flush_link(ctx, link);
             }
-        }
-        for n in targets {
-            self.flush_neighbor(ctx, n);
         }
     }
 
-    /// Sends a data frame to a neighbor, registering it for retransmission
-    /// if reliability was requested.
-    fn send_data_frame(&mut self, ctx: &mut Context<'_>, neighbor: OverlayId, msg: DataMsg) {
+    /// Acknowledges a reliable frame from `neighbor`: with batching, in the
+    /// cumulative ack of the next flush to it (all reliable frames of one
+    /// batch or window in a single `HopAckMulti`), else at once.
+    fn ack(&mut self, ctx: &mut Context<'_>, neighbor: OverlayId, frame_id: u64) {
+        if !self.batching() {
+            self.frame_to(ctx, neighbor, &OverlayMsg::HopAck { frame_id });
+            return;
+        }
+        if let Some(link) = self.neighbors.get_mut(&neighbor) {
+            link.acks.push(frame_id);
+            self.acks_staged = true;
+            self.schedule_flush(ctx);
+        }
+    }
+
+    /// Retires a pending frame acknowledged by `neighbor`, if that is the
+    /// neighbor it was sent to: frame ids are easy to guess, so another
+    /// neighbor's ack must not cancel its retransmission.
+    fn acked(&mut self, neighbor: OverlayId, frame_id: u64) {
+        if let btree_map::Entry::Occupied(entry) = self.pending.entry(frame_id) {
+            if entry.get().to == neighbor {
+                entry.remove();
+            }
+        }
+    }
+
+    /// Sends one copy of `msg` to each of `targets`, each under a fresh
+    /// frame id, registering reliable copies for retransmission. The frame
+    /// is encoded once; each copy is written straight into its neighbor's
+    /// staged batch (or sealed on its own when batching is off).
+    fn send_data(&mut self, ctx: &mut Context<'_>, mut msg: DataMsg, targets: &[OverlayId]) {
         if self.behavior == DaemonBehavior::Blackhole && msg.src != self.me {
-            ctx.count("spines.blackholed", 1);
+            ctx.count("spines.blackholed", targets.len() as u64);
             return;
         }
-        let mut msg = msg;
         if self.behavior == DaemonBehavior::Corrupting && !msg.payload.is_empty() {
             let mut corrupted = msg.payload.to_vec();
             corrupted[0] ^= 0xff;
             msg.payload = Bytes::from(corrupted);
-            ctx.count("spines.corrupted", 1);
+            ctx.count("spines.corrupted", targets.len() as u64);
         }
-        if ctx.tracing_enabled() {
-            ctx.trace(TraceKind::OverlayHop {
-                daemon: ctx.id().0,
-                src: msg.src.0,
-                dst: msg.dst.0,
-                ttl: msg.ttl,
-            });
-        }
-        let frame_id = ((self.me.0 as u64) << 40) | self.next_frame;
-        self.next_frame += 1;
-        let reliable = msg.reliable;
-        if reliable {
-            let Some(state) = self.neighbors.get(&neighbor) else {
-                return;
-            };
-            let to_pid = state.pid;
-            let wire = OverlayMsg::Data {
-                frame_id,
-                msg: msg.clone(),
-            };
-            let body = wire.encode();
-            self.pending.insert(
-                frame_id,
-                PendingFrame {
-                    to_pid,
-                    to_overlay: neighbor,
-                    msg,
-                    body: body.clone(),
-                    retries: 0,
-                    next_at: ctx.now() + self.cfg.retransmit_timeout,
-                    rto: self.cfg.retransmit_timeout,
-                },
-            );
-            if self.batching() {
-                self.stage_frame(ctx, neighbor, body);
-            } else {
-                self.seal_to(ctx, neighbor, &body);
+        let mut frame = encode_data_frame(&msg);
+        let shared = msg.reliable.then(|| Bytes::copy_from_slice(&frame));
+        let batching = self.batching();
+        for &neighbor in targets {
+            if ctx.tracing_enabled() {
+                ctx.trace(TraceKind::OverlayHop {
+                    daemon: ctx.id().0,
+                    src: msg.src.0,
+                    dst: msg.dst.0,
+                    ttl: msg.ttl,
+                });
             }
-        } else {
-            let wire = OverlayMsg::Data { frame_id, msg };
-            if self.batching() {
-                let body = wire.encode();
-                self.stage_frame(ctx, neighbor, body);
+            let frame_id = ((self.me.0 as u64) << 40) | self.next_frame;
+            self.next_frame += 1;
+            let Some(link) = self.neighbors.get_mut(&neighbor) else {
+                continue;
+            };
+            if let Some(body) = &shared {
+                self.pending.insert(
+                    frame_id,
+                    PendingFrame {
+                        to: neighbor,
+                        mode: msg.mode,
+                        dst: msg.dst,
+                        body: body.clone(),
+                        retries: 0,
+                        next_at: ctx.now() + self.cfg.retransmit_timeout,
+                        rto: self.cfg.retransmit_timeout,
+                    },
+                );
+            }
+            if !batching {
+                set_frame_id(&mut frame, frame_id);
+                seal(ctx, link, &frame);
+                continue;
+            }
+            set_frame_id(link.batch.push(&frame), frame_id);
+            if link.batch.len() >= self.cfg.batch_max_frames {
+                flush_link(ctx, link);
             } else {
-                self.frame_to(ctx, neighbor, &wire);
+                self.schedule_flush(ctx);
             }
         }
     }
@@ -410,9 +458,9 @@ impl Daemon {
             },
         );
         self.routes = None;
-        let targets: Vec<OverlayId> = self.alive_neighbors();
-        for n in targets {
-            self.frame_to(ctx, n, &lsa);
+        let body = lsa.encode();
+        for n in self.alive_neighbors() {
+            self.seal_to(ctx, n, &body);
         }
     }
 
@@ -458,32 +506,43 @@ impl Daemon {
         self.routes.as_ref().unwrap()
     }
 
-    fn mark_flood_seen(&mut self, key: (u16, u16, u64)) -> bool {
-        if self.flood_seen.contains(&key) {
-            return false;
-        }
-        self.flood_seen.insert(key);
-        self.flood_seen_order.push_back(key);
-        if self.flood_seen_order.len() > SEEN_CAP {
-            if let Some(old) = self.flood_seen_order.pop_front() {
-                self.flood_seen.remove(&old);
+    /// Records a flooded or delivered message's `(source, port, seq)`;
+    /// false if it was seen before or runs too far ahead to record.
+    fn first_sight(&mut self, ctx: &mut Context<'_>, msg: &DataMsg) -> bool {
+        let window = self
+            .flood_seen
+            .entry((msg.src.0, msg.src_port))
+            .or_default();
+        match window.observe(msg.seq, ctx.now(), self.dedup) {
+            Sight::New => true,
+            Sight::Seen => false,
+            Sight::Ahead => {
+                ctx.count("spines.seq_ahead_drop", 1);
+                false
             }
         }
-        true
     }
 
-    fn mark_frame_seen(&mut self, frame_id: u64) -> bool {
-        if self.frame_seen.contains(&frame_id) {
-            return false;
+    /// Ages every dedup window, drops the flood windows left empty, and
+    /// records the retransmission table and dedup memory as gauges.
+    fn expire_dedup(&mut self, ctx: &mut Context<'_>) {
+        let now = ctx.now();
+        let horizon = self.dedup.horizon;
+        self.flood_seen.retain(|_, window| {
+            window.expire(now, horizon);
+            !window.is_empty()
+        });
+        let mut bytes: usize = self
+            .flood_seen
+            .values()
+            .map(SeqWindow::retained_bytes)
+            .sum();
+        for link in self.neighbors.values_mut() {
+            link.frames_seen.expire(now, horizon);
+            bytes += link.frames_seen.retained_bytes();
         }
-        self.frame_seen.insert(frame_id);
-        self.frame_seen_order.push_back(frame_id);
-        if self.frame_seen_order.len() > SEEN_CAP {
-            if let Some(old) = self.frame_seen_order.pop_front() {
-                self.frame_seen.remove(&old);
-            }
-        }
-        true
+        ctx.record("spines.pending_frames", self.pending.len() as f64);
+        ctx.record("spines.dedup_bytes", bytes as f64);
     }
 
     fn take_flood_token(&mut self, now: Time, source: OverlayId) -> bool {
@@ -521,8 +580,7 @@ impl Daemon {
     fn route_data(&mut self, ctx: &mut Context<'_>, mut msg: DataMsg, from_hop: Option<OverlayId>) {
         match msg.mode {
             Dissemination::Flood => {
-                let key = (msg.src.0, msg.src_port, msg.seq);
-                if !self.mark_flood_seen(key) {
+                if !self.first_sight(ctx, &msg) {
                     return;
                 }
                 if msg.dst == self.me {
@@ -540,16 +598,13 @@ impl Daemon {
                     return;
                 }
                 msg.ttl -= 1;
-                for n in self.alive_neighbors() {
-                    if Some(n) != from_hop {
-                        self.send_data_frame(ctx, n, msg.clone());
-                    }
-                }
+                let mut targets = self.alive_neighbors();
+                targets.retain(|n| Some(*n) != from_hop);
+                self.send_data(ctx, msg, &targets);
             }
             Dissemination::Shortest => {
                 if msg.dst == self.me {
-                    let key = (msg.src.0, msg.src_port, msg.seq);
-                    if self.mark_flood_seen(key) {
+                    if self.first_sight(ctx, &msg) {
                         self.deliver_local(ctx, &msg);
                     }
                     return;
@@ -563,14 +618,13 @@ impl Daemon {
                 let dst = msg.dst;
                 let next = self.topology().next_hop(me, dst);
                 match next {
-                    Some(n) => self.send_data_frame(ctx, n, msg),
+                    Some(n) => self.send_data(ctx, msg, &[n]),
                     None => ctx.count("spines.no_route_drop", 1),
                 }
             }
             Dissemination::DisjointPaths(_) => {
                 if msg.dst == self.me {
-                    let key = (msg.src.0, msg.src_port, msg.seq);
-                    if self.mark_flood_seen(key) {
+                    if self.first_sight(ctx, &msg) {
                         self.deliver_local(ctx, &msg);
                     }
                     return;
@@ -584,7 +638,7 @@ impl Daemon {
                 if idx < msg.route.len() {
                     let next = msg.route[idx];
                     msg.route_idx += 1;
-                    self.send_data_frame(ctx, next, msg);
+                    self.send_data(ctx, msg, &[next]);
                 } else {
                     ctx.count("spines.bad_route_drop", 1);
                 }
@@ -642,7 +696,7 @@ impl Daemon {
                     let next = msg.route[1];
                     msg.route_idx = 2;
                     msg.ttl = self.cfg.default_ttl;
-                    self.send_data_frame(ctx, next, msg);
+                    self.send_data(ctx, msg, &[next]);
                 }
             }
             _ => self.route_data(ctx, base, None),
@@ -729,27 +783,26 @@ impl Daemon {
             }
             OverlayMsg::Data { frame_id, msg } => {
                 if msg.reliable {
-                    if self.batching() {
-                        // Cumulative ack: all reliable frames of one batch
-                        // (or window) are acknowledged in a single
-                        // HopAckMulti on the next flush.
-                        self.staged_acks.entry(from).or_default().push(frame_id);
-                        self.schedule_flush(ctx);
-                    } else {
-                        self.frame_to(ctx, from, &OverlayMsg::HopAck { frame_id });
-                    }
-                    if !self.mark_frame_seen(frame_id) {
-                        return; // duplicate retransmission
+                    self.ack(ctx, from, frame_id);
+                    let now = ctx.now();
+                    let Some(link) = self.neighbors.get_mut(&from) else {
+                        return;
+                    };
+                    match link.frames_seen.observe(frame_id, now, self.dedup) {
+                        Sight::New => {}
+                        Sight::Seen => return, // duplicate retransmission
+                        Sight::Ahead => {
+                            ctx.count("spines.frame_ahead_drop", 1);
+                            return;
+                        }
                     }
                 }
                 self.route_data(ctx, msg, Some(from));
             }
-            OverlayMsg::HopAck { frame_id } => {
-                self.pending.remove(&frame_id);
-            }
+            OverlayMsg::HopAck { frame_id } => self.acked(from, frame_id),
             OverlayMsg::HopAckMulti { frame_ids } => {
                 for frame_id in frame_ids {
-                    self.pending.remove(&frame_id);
+                    self.acked(from, frame_id);
                 }
             }
             OverlayMsg::Batch { frames } => {
@@ -798,6 +851,43 @@ impl Daemon {
     }
 }
 
+/// Seals an encoded body with the link's HMAC and sends it.
+fn seal(ctx: &mut Context<'_>, link: &NeighborState, body: &[u8]) {
+    let mut framed = Vec::with_capacity(body.len() + TAG_LEN);
+    framed.extend_from_slice(body);
+    framed.extend_from_slice(&hmac_sha256(&link.link_key, body));
+    ctx.send(link.pid, Bytes::from(framed));
+}
+
+/// Flushes one neighbor's staged acks + frames as a single sealed frame.
+/// Acks go first so the sender's retransmission table drains promptly.
+fn flush_link(ctx: &mut Context<'_>, link: &mut NeighborState) {
+    let ack = match link.acks.len() {
+        0 => None,
+        1 => Some(
+            OverlayMsg::HopAck {
+                frame_id: link.acks[0],
+            }
+            .encode(),
+        ),
+        _ => Some(
+            OverlayMsg::HopAckMulti {
+                frame_ids: std::mem::take(&mut link.acks),
+            }
+            .encode(),
+        ),
+    };
+    link.acks.clear();
+    let frames = link.batch.len() + ack.is_some() as usize;
+    if frames > 1 {
+        ctx.count("spines.link_batches", 1);
+        ctx.count("spines.link_batched_frames", frames as u64);
+    }
+    if let Some(wire) = link.batch.seal(ack.as_deref(), &link.link_key) {
+        ctx.send(link.pid, wire);
+    }
+}
+
 impl Process for Daemon {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         for (_, state) in self.neighbors.iter_mut() {
@@ -832,12 +922,7 @@ impl Process for Daemon {
             // the end of the activation that received the data (one
             // cumulative ack per incoming batch), while forwarded data keeps
             // riding the coalescing window.
-            if !self.staged_acks.is_empty() {
-                let targets: Vec<OverlayId> = self.staged_acks.keys().copied().collect();
-                for n in targets {
-                    self.flush_neighbor(ctx, n);
-                }
-            }
+            self.flush_acks(ctx);
         } else {
             // Local client.
             match OverlayMsg::decode(bytes) {
@@ -855,9 +940,9 @@ impl Process for Daemon {
                     from: self.me,
                     seq: self.hello_seq,
                 };
-                let all: Vec<OverlayId> = self.neighbors.keys().copied().collect();
-                for n in all {
-                    self.frame_to(ctx, n, &hello);
+                let body = hello.encode();
+                for n in self.neighbors.keys() {
+                    self.seal_to(ctx, *n, &body);
                 }
                 // Death detection.
                 let now = ctx.now();
@@ -872,6 +957,7 @@ impl Process for Daemon {
                 if changed {
                     self.regenerate_lsa(ctx);
                 }
+                self.expire_dedup(ctx);
                 ctx.set_timer(self.cfg.hello_interval, TIMER_HELLO);
             }
             TIMER_LSA => {
@@ -905,7 +991,7 @@ impl Process for Daemon {
                 for id in expired {
                     let (mode, dst, to_overlay, retries) = {
                         let f = &self.pending[&id];
-                        (f.msg.mode, f.msg.dst, f.to_overlay, f.retries)
+                        (f.mode, f.dst, f.to, f.retries)
                     };
                     // If routing has moved away from the pending next hop
                     // (e.g. the neighbor was declared dead), re-route the
@@ -945,7 +1031,9 @@ impl Process for Daemon {
                 for id in to_reroute {
                     if let Some(frame) = self.pending.remove(&id) {
                         ctx.count("spines.rerouted", 1);
-                        self.route_data(ctx, frame.msg, None);
+                        if let Ok(OverlayMsg::Data { msg, .. }) = OverlayMsg::decode(&frame.body) {
+                            self.route_data(ctx, msg, None);
+                        }
                     }
                 }
                 for id in to_resend {
@@ -953,19 +1041,17 @@ impl Process for Daemon {
                         frame.retries += 1;
                         // Exponential backoff, capped: persistent loss must
                         // not multiply traffic.
-                        frame.rto = Span::micros((frame.rto.0 * 2).min(2_000_000));
+                        frame.rto = Span(frame.rto.0.saturating_mul(2).min(MAX_RTO.0));
                         frame.next_at = now + frame.rto;
                         // Retransmissions bypass the batch stage and are
                         // sealed individually: the rare path pays the
                         // per-frame HMAC so the common path doesn't.
-                        let Some(state) = self.neighbors.get(&frame.to_overlay) else {
+                        let Some(link) = self.neighbors.get(&frame.to) else {
                             continue;
                         };
-                        let tag = hmac_sha256(&state.link_key, &frame.body);
-                        let mut framed = Vec::with_capacity(frame.body.len() + 32);
-                        framed.extend_from_slice(&frame.body);
-                        framed.extend_from_slice(&tag);
-                        ctx.send(frame.to_pid, Bytes::from(framed));
+                        let mut body = frame.body.to_vec();
+                        set_frame_id(&mut body, id);
+                        seal(ctx, link, &body);
                         ctx.count("spines.retx", 1);
                     }
                 }
@@ -973,7 +1059,7 @@ impl Process for Daemon {
             }
             TIMER_FLUSH => {
                 self.flush_scheduled = false;
-                self.flush_stages(ctx);
+                self.flush_links(ctx);
             }
             _ => {}
         }
@@ -987,5 +1073,34 @@ impl std::fmt::Debug for Daemon {
             .field("neighbors", &self.neighbors.len())
             .field("clients", &self.clients.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn horizon_follows_the_backoff_schedule() {
+        // 60, 120, 240, 480, 960 and 1,920 ms, then the 2 s cap seven
+        // times, each plus a 20 ms retransmission scan.
+        let cfg = DaemonConfig::default();
+        assert_eq!(cfg.retransmission_horizon(), Span::millis(18_040));
+        assert_eq!(cfg.dedup_limits().span, 18_040_000);
+        let once = DaemonConfig {
+            max_retries: 0,
+            ..cfg
+        };
+        assert_eq!(once.retransmission_horizon(), Span::millis(80));
+        // A first timeout above the cap is kept; later ones are capped.
+        let slow = DaemonConfig {
+            retransmit_timeout: Span::secs(5),
+            max_retries: 2,
+            ..cfg
+        };
+        assert_eq!(
+            slow.retransmission_horizon(),
+            Span::millis(5_020 + 2 * 2_020)
+        );
     }
 }

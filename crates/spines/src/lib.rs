@@ -18,6 +18,8 @@
 //!   daemon.
 //! * [`network`] — a builder that deploys a whole overlay into a
 //!   [`spire_sim::World`].
+//! * `window` — the daemon's bounded duplicate suppression over sequence
+//!   numbers and frame ids.
 //!
 //! Two separate overlay instances are used by a Spire deployment, exactly as
 //! in the paper: an *internal* network connecting SCADA-master replicas
@@ -29,6 +31,7 @@ pub mod daemon;
 pub mod msg;
 pub mod network;
 pub mod topology;
+mod window;
 
 pub use client::{OverlayAddr, SpinesPort};
 pub use daemon::{Daemon, DaemonBehavior, DaemonConfig};

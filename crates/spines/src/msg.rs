@@ -6,6 +6,7 @@
 
 use crate::topology::OverlayId;
 use bytes::Bytes;
+use spire_crypto::hmac::hmac_sha256;
 use spire_sim::{WireError, WireReader, WireWriter};
 
 /// How a data message is disseminated through the overlay.
@@ -140,9 +141,32 @@ pub enum OverlayMsg {
 }
 
 impl OverlayMsg {
-    /// Canonical byte encoding.
+    /// Canonical byte encoding, written into a buffer of exactly
+    /// [`OverlayMsg::encoded_len`] bytes.
     pub fn encode(&self) -> Bytes {
-        let mut w = WireWriter::with_capacity(64);
+        let mut w = WireWriter::with_capacity(self.encoded_len());
+        self.write(&mut w);
+        w.finish()
+    }
+
+    /// Length of [`OverlayMsg::encode`]'s output.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            OverlayMsg::Hello { .. } => 11,
+            OverlayMsg::Lsa { neighbors, .. } => 13 + 6 * neighbors.len() + 64,
+            OverlayMsg::Data { msg, .. } => data_frame_len(msg),
+            OverlayMsg::HopAck { .. } => 9,
+            OverlayMsg::ClientAttach { .. } => 3,
+            OverlayMsg::ClientSend { payload, .. } => 12 + payload.len(),
+            OverlayMsg::ClientDeliver { payload, .. } => 9 + payload.len(),
+            OverlayMsg::HopAckMulti { frame_ids } => 3 + 8 * frame_ids.len(),
+            OverlayMsg::Batch { frames } => {
+                BATCH_HEADER + frames.iter().map(|f| LEN_PREFIX + f.len()).sum::<usize>()
+            }
+        }
+    }
+
+    fn write(&self, w: &mut WireWriter) {
         match self {
             OverlayMsg::Hello { from, seq } => {
                 w.u8(1).u16(from.0).u64(*seq);
@@ -159,24 +183,7 @@ impl OverlayMsg {
                 }
                 w.raw(sig);
             }
-            OverlayMsg::Data { frame_id, msg } => {
-                let (mode_tag, mode_arg) = msg.mode.encode();
-                w.u8(3)
-                    .u64(*frame_id)
-                    .u16(msg.src.0)
-                    .u16(msg.src_port)
-                    .u16(msg.dst.0)
-                    .u16(msg.dst_port)
-                    .u64(msg.seq)
-                    .u8(mode_tag)
-                    .u8(mode_arg)
-                    .u8(msg.ttl)
-                    .u8(msg.route.len() as u8);
-                for hop in &msg.route {
-                    w.u16(hop.0);
-                }
-                w.u8(msg.route_idx).bool(msg.reliable).bytes(&msg.payload);
-            }
+            OverlayMsg::Data { frame_id, msg } => write_data_frame(w, *frame_id, msg),
             OverlayMsg::HopAck { frame_id } => {
                 w.u8(4).u64(*frame_id);
             }
@@ -213,13 +220,12 @@ impl OverlayMsg {
                 }
             }
             OverlayMsg::Batch { frames } => {
-                w.u8(9).u16(frames.len() as u16);
+                w.u8(BATCH_TAG).u16(frames.len() as u16);
                 for frame in frames {
                     w.bytes(frame);
                 }
             }
         }
-        w.finish()
     }
 
     /// Decodes a message, verifying the buffer is fully consumed.
@@ -331,6 +337,120 @@ impl OverlayMsg {
     }
 }
 
+/// Tag byte of an encoded [`OverlayMsg::Batch`].
+const BATCH_TAG: u8 = 9;
+/// Tag byte and frame count that open an encoded [`OverlayMsg::Batch`].
+const BATCH_HEADER: usize = 3;
+/// Length prefix of each frame inside a batch.
+const LEN_PREFIX: usize = 4;
+/// Where the frame id sits in an encoded [`OverlayMsg::Data`].
+const DATA_FRAME_ID: std::ops::Range<usize> = 1..9;
+
+fn data_frame_len(msg: &DataMsg) -> usize {
+    35 + 2 * msg.route.len() + msg.payload.len()
+}
+
+fn write_data_frame(w: &mut WireWriter, frame_id: u64, msg: &DataMsg) {
+    let (mode_tag, mode_arg) = msg.mode.encode();
+    w.u8(3)
+        .u64(frame_id)
+        .u16(msg.src.0)
+        .u16(msg.src_port)
+        .u16(msg.dst.0)
+        .u16(msg.dst_port)
+        .u64(msg.seq)
+        .u8(mode_tag)
+        .u8(mode_arg)
+        .u8(msg.ttl)
+        .u8(msg.route.len() as u8);
+    for hop in &msg.route {
+        w.u16(hop.0);
+    }
+    w.u8(msg.route_idx).bool(msg.reliable).bytes(&msg.payload);
+}
+
+/// Encodes `msg` as an [`OverlayMsg::Data`] with frame id 0, for a daemon
+/// that sends one copy per neighbour and sets each copy's id with
+/// [`set_frame_id`].
+pub(crate) fn encode_data_frame(msg: &DataMsg) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(data_frame_len(msg));
+    write_data_frame(&mut w, 0, msg);
+    w.into_vec()
+}
+
+/// Sets the frame id of an encoded [`OverlayMsg::Data`].
+pub(crate) fn set_frame_id(frame: &mut [u8], frame_id: u64) {
+    frame[DATA_FRAME_ID].copy_from_slice(&frame_id.to_le_bytes());
+}
+
+/// Frames staged for one neighbour, laid out as the body of an encoded
+/// [`OverlayMsg::Batch`] as they arrive, so that a flush seals the buffer
+/// in place instead of re-encoding every frame.
+#[derive(Debug, Default)]
+pub(crate) struct LinkBatch {
+    /// Batch header (count not yet filled in), then each frame
+    /// length-prefixed.
+    buf: Vec<u8>,
+    frames: usize,
+}
+
+impl LinkBatch {
+    /// Frames staged.
+    pub fn len(&self) -> usize {
+        self.frames
+    }
+
+    /// Stages one encoded frame and returns its bytes inside the batch.
+    pub fn push(&mut self, frame: &[u8]) -> &mut [u8] {
+        if self.buf.is_empty() {
+            self.buf.extend_from_slice(&[BATCH_TAG, 0, 0]);
+        }
+        self.buf
+            .extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        let start = self.buf.len();
+        self.buf.extend_from_slice(frame);
+        self.frames += 1;
+        &mut self.buf[start..]
+    }
+
+    /// Empties the stage into one wire frame sealed with `key`'s HMAC: the
+    /// encoded `first` (if any) ahead of the staged frames, as a batch, or
+    /// on its own when it is the only frame. `None` if there is nothing to
+    /// send.
+    pub fn seal(&mut self, first: Option<&[u8]>, key: &[u8; 32]) -> Option<Bytes> {
+        let body = match (self.frames, first) {
+            (0, None) => return None,
+            (0, Some(lone)) => {
+                self.buf.extend_from_slice(lone);
+                0
+            }
+            (1, None) => BATCH_HEADER + LEN_PREFIX,
+            (frames, first) => {
+                if let Some(first) = first {
+                    let shift = LEN_PREFIX + first.len();
+                    let end = self.buf.len();
+                    self.buf.resize(end + shift, 0);
+                    self.buf
+                        .copy_within(BATCH_HEADER..end, BATCH_HEADER + shift);
+                    self.buf[BATCH_HEADER..BATCH_HEADER + LEN_PREFIX]
+                        .copy_from_slice(&(first.len() as u32).to_le_bytes());
+                    self.buf[BATCH_HEADER + LEN_PREFIX..BATCH_HEADER + shift]
+                        .copy_from_slice(first);
+                }
+                let count = (frames + first.is_some() as usize) as u16;
+                self.buf[1..BATCH_HEADER].copy_from_slice(&count.to_le_bytes());
+                0
+            }
+        };
+        let tag = hmac_sha256(key, &self.buf[body..]);
+        self.buf.extend_from_slice(&tag);
+        let wire = Bytes::copy_from_slice(&self.buf[body..]);
+        self.buf.clear();
+        self.frames = 0;
+        Some(wire)
+    }
+}
+
 /// The canonical bytes signed in an LSA (everything except the signature).
 pub fn lsa_signing_bytes(origin: OverlayId, seq: u64, neighbors: &[(OverlayId, u32)]) -> Vec<u8> {
     let mut w = WireWriter::new();
@@ -406,6 +526,90 @@ mod tests {
                 .encode(),
             ],
         });
+    }
+
+    fn data(seq: u64, payload: &'static [u8]) -> DataMsg {
+        DataMsg {
+            src: OverlayId(1),
+            src_port: 2,
+            dst: OverlayId(3),
+            dst_port: 4,
+            seq,
+            mode: Dissemination::Flood,
+            ttl: 9,
+            route: Vec::new(),
+            route_idx: 0,
+            reliable: true,
+            payload: Bytes::from_static(payload),
+        }
+    }
+
+    #[test]
+    fn data_frame_id_is_patched_in_place() {
+        let msg = data(77, b"abc");
+        let mut frame = encode_data_frame(&msg);
+        set_frame_id(&mut frame, 0xdead_beef_0042);
+        let expected = OverlayMsg::Data {
+            frame_id: 0xdead_beef_0042,
+            msg,
+        }
+        .encode();
+        assert_eq!(frame, expected.to_vec());
+    }
+
+    /// What a flush sends, built the long way: every frame encoded on its
+    /// own, then batched (unless alone), then sealed.
+    fn reference_seal(first: Option<&[u8]>, frames: &[Bytes], key: &[u8; 32]) -> Option<Vec<u8>> {
+        let mut all: Vec<Bytes> = first.map(Bytes::copy_from_slice).into_iter().collect();
+        all.extend(frames.iter().cloned());
+        let body = match all.len() {
+            0 => return None,
+            1 => all[0].to_vec(),
+            _ => OverlayMsg::Batch { frames: all }.encode().to_vec(),
+        };
+        let mut wire = body.clone();
+        wire.extend_from_slice(&hmac_sha256(key, &body));
+        Some(wire)
+    }
+
+    #[test]
+    fn link_batch_matches_batch_encoding() {
+        let key = [5u8; 32];
+        let frames: Vec<Bytes> = (0..4u64)
+            .map(|i| {
+                OverlayMsg::Data {
+                    frame_id: i,
+                    msg: data(i, &b"payload"[..i as usize]),
+                }
+                .encode()
+            })
+            .collect();
+        let acks = [
+            None,
+            Some(OverlayMsg::HopAck { frame_id: 9 }.encode()),
+            Some(
+                OverlayMsg::HopAckMulti {
+                    frame_ids: vec![1, 2, 3],
+                }
+                .encode(),
+            ),
+        ];
+        let mut batch = LinkBatch::default();
+        for ack in &acks {
+            for n in 0..=frames.len() {
+                for f in &frames[..n] {
+                    batch.push(f);
+                }
+                assert_eq!(batch.len(), n);
+                let got = batch.seal(ack.as_deref(), &key).map(|b| b.to_vec());
+                assert_eq!(
+                    got,
+                    reference_seal(ack.as_deref(), &frames[..n], &key),
+                    "{n} frames, ack {ack:?}"
+                );
+                assert_eq!(batch.len(), 0);
+            }
+        }
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! authentication, and per-source flooding fairness.
 
 use bytes::Bytes;
-use spire_crypto::{KeyMaterial, KeyStore};
-use spire_sim::{Context, LinkConfig, Process, ProcessId, Span, World};
+use spire_crypto::hmac::hmac_sha256;
+use spire_crypto::{KeyMaterial, KeyStore, NodeId};
+use spire_sim::{Context, LinkConfig, Process, ProcessId, Span, Time, World};
 use spire_spines::{
-    DaemonBehavior, DaemonConfig, Dissemination, OverlayAddr, OverlayId, OverlayNetwork,
-    SpinesPort, Topology,
+    DaemonBehavior, DaemonConfig, DataMsg, Dissemination, OverlayAddr, OverlayId, OverlayMsg,
+    OverlayNetwork, SpinesPort, Topology,
 };
 use std::sync::Arc;
 
@@ -576,4 +577,200 @@ fn stale_lsas_age_out_after_daemon_death() {
     // Routing kept working around the death.
     let delivered = h.world.metrics().counter("rx.rx");
     assert!(delivered >= 85, "delivered={delivered}");
+}
+
+/// Seals `msg` as daemon `from` would on its link to daemon `to` (the
+/// harness provisions key base 0 from `[9; 32]`): what a compromised
+/// neighbor holding that link key can put on the wire.
+fn sealed_by_neighbor(from: u16, to: u16, msg: &OverlayMsg) -> Bytes {
+    let key = KeyMaterial::new([9u8; 32]).link_key(NodeId(from as u32), NodeId(to as u32));
+    let mut wire = msg.encode().to_vec();
+    let tag = hmac_sha256(&key, &wire);
+    wire.extend_from_slice(&tag);
+    Bytes::from(wire)
+}
+
+fn forged_data(
+    frame_id: u64,
+    src: u16,
+    src_port: u16,
+    seq: u64,
+    dst: u16,
+    dst_port: u16,
+) -> OverlayMsg {
+    OverlayMsg::Data {
+        frame_id,
+        msg: DataMsg {
+            src: OverlayId(src),
+            src_port,
+            dst: OverlayId(dst),
+            dst_port,
+            seq,
+            mode: Dissemination::Flood,
+            ttl: 32,
+            route: Vec::new(),
+            route_idx: 0,
+            reliable: true,
+            payload: Bytes::from(vec![0u8; 64]),
+        },
+    }
+}
+
+#[test]
+fn neighbor_cannot_preempt_another_links_frame_ids() {
+    // Daemon 2, compromised, sends daemon 1 authenticated frames carrying
+    // the ids daemon 0 is about to use (daemon 0 numbers its data frames
+    // from `0 << 40`). Frame dedup is per authenticated link, so daemon
+    // 0's real frames with those ids are still new on their own link.
+    let mut h = build(61, |_| DaemonBehavior::Honest);
+    add_app(&mut h, OverlayId(1), |p| App::receiver(p, "rx"));
+    add_app(&mut h, OverlayId(0), |p| {
+        App::sender(
+            p,
+            dst_addr(1),
+            Dissemination::Shortest,
+            true,
+            40,
+            Span::millis(50),
+            "tx",
+        )
+    });
+    let d1 = h.net.daemon_pid(OverlayId(1));
+    let d2 = h.net.daemon_pid(OverlayId(2));
+    for frame_id in 0..200 {
+        // A message for an unbound port of daemon 1: dropped there.
+        let forged = forged_data(frame_id, 2, 999, frame_id + 1, 1, 999);
+        h.world
+            .inject_message(Time(50_000), d2, d1, sealed_by_neighbor(2, 1, &forged));
+    }
+    h.world.run_for(Span::secs(5));
+    assert_eq!(h.world.metrics().counter("spines.hmac_fail"), 0);
+    assert_eq!(h.world.metrics().counter("spines.no_client_drop"), 200);
+    assert_eq!(h.world.metrics().counter("rx.rx"), 40);
+}
+
+#[test]
+fn forged_far_ahead_seq_is_dropped_not_followed() {
+    // Daemon 2, compromised, floods one message claiming daemon 0's
+    // client port with a sequence number far beyond anything sent. Daemon
+    // 3 refuses it rather than moving its window for that source past the
+    // source's in-flight traffic, which keeps arriving exactly once.
+    let mut h = build(62, |_| DaemonBehavior::Honest);
+    add_app(&mut h, OverlayId(4), |p| App::receiver(p, "rx"));
+    add_app(&mut h, OverlayId(0), |p| {
+        App::sender(
+            p,
+            dst_addr(4),
+            Dissemination::Flood,
+            true,
+            50,
+            Span::millis(40),
+            "tx",
+        )
+    });
+    let d2 = h.net.daemon_pid(OverlayId(2));
+    let d3 = h.net.daemon_pid(OverlayId(3));
+    let forged = forged_data(1 << 41, 0, APP_PORT, u64::MAX / 2, 4, APP_PORT);
+    h.world
+        .inject_message(Time(1_000_000), d2, d3, sealed_by_neighbor(2, 3, &forged));
+    h.world.run_for(Span::secs(6));
+    assert_eq!(h.world.metrics().counter("spines.seq_ahead_drop"), 1);
+    assert_eq!(h.world.metrics().counter("rx.rx"), 50);
+}
+
+/// Mean of a series' samples (every daemon's) recorded in `(after, upto]`
+/// seconds.
+fn mean_in(h: &Harness, series: &str, after: u64, upto: u64) -> f64 {
+    let samples =
+        h.world
+            .metrics()
+            .series_window(series, Time(after * 1_000_000), Time(upto * 1_000_000));
+    samples.iter().map(|(_, v)| *v).sum::<f64>() / samples.len().max(1) as f64
+}
+
+#[test]
+fn retained_state_plateaus_over_a_long_wide_area_run() {
+    // Two reliable flooding sources for 130 sim-seconds over 10 ms WAN
+    // links with 10% loss, so frames wait for retransmission. The
+    // retransmission table and the dedup windows follow the traffic of one
+    // retransmission horizon (about 18 s), not the length of the run.
+    let mut topology = Topology::ring(6, 10);
+    topology.add_edge(OverlayId(0), OverlayId(3), 10);
+    let mut world = World::new(63);
+    let material = KeyMaterial::new([9u8; 32]);
+    let keystore = Arc::new(KeyStore::for_nodes(&material, 64));
+    let net = OverlayNetwork::build(
+        &mut world,
+        &topology,
+        DaemonConfig::default(),
+        &material,
+        &keystore,
+        0,
+        |_, _| LinkConfig::wan(10).with_loss(0.1),
+        |_| DaemonBehavior::Honest,
+    );
+    let mut h = Harness { world, net };
+    add_app(&mut h, OverlayId(3), |p| App::receiver(p, "rx3"));
+    add_app(&mut h, OverlayId(5), |p| App::receiver(p, "rx5"));
+    for (src, dst) in [(0, 3), (2, 5)] {
+        add_app(&mut h, OverlayId(src), |p| {
+            App::sender(
+                p,
+                dst_addr(dst),
+                Dissemination::Flood,
+                true,
+                2_600,
+                Span::millis(50),
+                "tx",
+            )
+        });
+    }
+    h.world.run_for(Span::secs(130));
+    assert!(h.world.metrics().counter("rx3.rx") >= 2_590);
+    assert!(h.world.metrics().counter("rx5.rx") >= 2_590);
+    for series in ["spines.pending_frames", "spines.dedup_bytes"] {
+        let early = mean_in(&h, series, 30, 80);
+        let late = mean_in(&h, series, 80, 130);
+        assert!(early > 0.0, "{series} never recorded");
+        assert!(
+            late <= early * 1.2,
+            "{series} still growing: mean {early} over 30-80 s, {late} over 80-130 s"
+        );
+    }
+}
+
+#[test]
+fn neighbor_cannot_ack_frames_sent_to_another_link() {
+    // Link 0-1 is down for the first second, so daemon 0's reliable
+    // frames to daemon 1 wait for retransmission. Daemon 5, compromised,
+    // acks their (easily guessed) ids to daemon 0 in the meantime. Only
+    // the neighbor a frame was sent to may retire it, so every message
+    // still arrives once the link is back.
+    let mut h = build(64, |_| DaemonBehavior::Honest);
+    add_app(&mut h, OverlayId(1), |p| App::receiver(p, "rx"));
+    add_app(&mut h, OverlayId(0), |p| {
+        App::sender(
+            p,
+            dst_addr(1),
+            Dissemination::Shortest,
+            true,
+            10,
+            Span::millis(50),
+            "tx",
+        )
+    });
+    h.net
+        .set_overlay_link_up(&mut h.world, OverlayId(0), OverlayId(1), false);
+    let d0 = h.net.daemon_pid(OverlayId(0));
+    let d5 = h.net.daemon_pid(OverlayId(5));
+    let forged_ack = OverlayMsg::HopAckMulti {
+        frame_ids: (0..100).collect(),
+    };
+    h.world
+        .inject_message(Time(700_000), d5, d0, sealed_by_neighbor(5, 0, &forged_ack));
+    h.world.run_for(Span::secs(1));
+    h.net
+        .set_overlay_link_up(&mut h.world, OverlayId(0), OverlayId(1), true);
+    h.world.run_for(Span::secs(5));
+    assert_eq!(h.world.metrics().counter("rx.rx"), 10);
 }

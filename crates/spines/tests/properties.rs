@@ -42,6 +42,66 @@ fn arb_data_msg() -> impl Strategy<Value = DataMsg> {
         )
 }
 
+fn arb_payload() -> impl Strategy<Value = bytes::Bytes> {
+    proptest::collection::vec(any::<u8>(), 0..128).prop_map(bytes::Bytes::from)
+}
+
+/// Every [`OverlayMsg`] variant, with random field values.
+fn arb_overlay_msg() -> impl Strategy<Value = OverlayMsg> {
+    prop_oneof![
+        (any::<u16>(), any::<u64>()).prop_map(|(from, seq)| OverlayMsg::Hello {
+            from: OverlayId(from),
+            seq,
+        }),
+        (
+            any::<u16>(),
+            any::<u64>(),
+            proptest::collection::vec((any::<u16>(), any::<u32>()), 0..16),
+            any::<u8>(),
+        )
+            .prop_map(|(origin, seq, neighbors, sig)| OverlayMsg::Lsa {
+                origin: OverlayId(origin),
+                seq,
+                neighbors: neighbors
+                    .into_iter()
+                    .map(|(n, w)| (OverlayId(n), w))
+                    .collect(),
+                sig: [sig; 64],
+            }),
+        (any::<u64>(), arb_data_msg())
+            .prop_map(|(frame_id, msg)| OverlayMsg::Data { frame_id, msg }),
+        any::<u64>().prop_map(|frame_id| OverlayMsg::HopAck { frame_id }),
+        any::<u16>().prop_map(|port| OverlayMsg::ClientAttach { port }),
+        (
+            any::<u16>(),
+            any::<u16>(),
+            arb_dissemination(),
+            any::<bool>(),
+            arb_payload(),
+        )
+            .prop_map(
+                |(dst, dst_port, mode, reliable, payload)| OverlayMsg::ClientSend {
+                    dst: OverlayId(dst),
+                    dst_port,
+                    mode,
+                    reliable,
+                    payload,
+                }
+            ),
+        (any::<u16>(), any::<u16>(), arb_payload()).prop_map(|(src, src_port, payload)| {
+            OverlayMsg::ClientDeliver {
+                src: OverlayId(src),
+                src_port,
+                payload,
+            }
+        }),
+        proptest::collection::vec(any::<u64>(), 0..40)
+            .prop_map(|frame_ids| OverlayMsg::HopAckMulti { frame_ids }),
+        proptest::collection::vec(arb_payload(), 0..8)
+            .prop_map(|frames| OverlayMsg::Batch { frames }),
+    ]
+}
+
 /// Random connected topology: a spanning tree plus random extra edges.
 fn arb_topology() -> impl Strategy<Value = Topology> {
     (
@@ -70,6 +130,19 @@ fn arb_topology() -> impl Strategy<Value = Topology> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Encoders size their buffers from `encoded_len`; it must never drift
+    /// from what `encode` writes.
+    #[test]
+    fn encoded_len_matches_encode(msg in arb_overlay_msg()) {
+        prop_assert_eq!(msg.encode().len(), msg.encoded_len());
+    }
+
+    #[test]
+    fn overlay_msg_roundtrip(msg in arb_overlay_msg()) {
+        let bytes = msg.encode();
+        prop_assert_eq!(OverlayMsg::decode(&bytes).expect("decode"), msg);
+    }
 
     #[test]
     fn data_msg_roundtrip(msg in arb_data_msg()) {
